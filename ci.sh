@@ -6,8 +6,8 @@
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first;
-#   4. qpvet (internal/analysis) reports no determinism, lock-discipline,
-#      buffer-lease, hot-path allocation, sim.Time, RNG-stream, or
+#   4. qpvet (internal/analysis) reports no determinism, buffer-lease,
+#      hot-path allocation, sim.Time, RNG-stream, or
 #      artifact-encoding violations anywhere in the module beyond the
 #      committed QPVET_baseline.json (kept empty in steady state), and no
 #      //qpvet:ignore directive has gone stale (-suppaudit);

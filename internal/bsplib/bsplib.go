@@ -5,6 +5,13 @@
 // data while the engine accounts simulated time - local computation through
 // the machine's compute model, communication through its router simulator.
 //
+// The goroutines take turns around a token ring, so exactly one of them
+// runs at a time. A processor holds the turn from one synchronization to
+// the next, then hands it to the next processor; the last processor of
+// the round prices and delivers the step. The engine state is therefore
+// only ever touched by the turn holder and needs no lock, and a run's
+// schedule - including which processor routes each step - is fixed.
+//
 // The engine supports the programming disciplines the paper's algorithms
 // use:
 //
@@ -23,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"quantpar/internal/comm"
 	"quantpar/internal/faults"
@@ -102,13 +108,15 @@ type engine struct {
 	n   int
 	opt Options
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	gen  int
-	// arrived counts processors waiting at the current step; done counts
-	// processors whose programs returned.
+	// The token ring. turn[p] (capacity 1) wakes processor p for its turn;
+	// returned marks processors whose programs have returned, which the
+	// ring skips; fin wakes Run once no processor is left.
+	turn     []chan struct{}
+	returned []bool
+	fin      chan struct{}
+
+	// arrived counts processors waiting at the current step.
 	arrived     int
-	done        int
 	stepBarrier bool
 	err         error
 
@@ -121,8 +129,9 @@ type engine struct {
 	// buffer at delivery time; the buffers of step k are released back to
 	// the pool during the delivery of step k+1, when no receiver can still
 	// legitimately hold a view (Recv slices are valid only until the next
-	// synchronization). The pool is touched exclusively under e.mu by the
-	// single routing goroutine, so buffer identity is deterministic.
+	// synchronization). Only the processor that routes a step touches the
+	// pool, and the ring fixes which one that is, so buffer identity is
+	// deterministic.
 	pool          sim.BufferPool
 	delivered     [][]byte // buffers handed out in the current step's inboxes
 	prevDelivered [][]byte // previous step's buffers, released at next delivery
@@ -161,6 +170,9 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		m:          m,
 		n:          n,
 		opt:        opt,
+		turn:       make([]chan struct{}, n),
+		returned:   make([]bool, n),
+		fin:        make(chan struct{}),
 		clocks:     make([]sim.Time, n),
 		computeAt:  make([]sim.Time, n),
 		outboxes:   make([][]outMsg, n),
@@ -172,7 +184,6 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		inDeg:      make([]int, n),
 		rng:        sim.NewRNG(opt.Seed ^ 0x5a17ed),
 	}
-	e.cond = sync.NewCond(&e.mu)
 
 	// Rewind the machine's fault clock (if any) so every run sees the same
 	// fault schedule from simulated time zero; this is what makes a faulty
@@ -181,33 +192,20 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 		ctrl.ResetFaultClock()
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for p := 0; p < n; p++ {
-		go func(p int) {
-			defer wg.Done()
-			ctx := &Context{
-				e: e, id: p, rng: e.rng.Split(uint64(0xC0FFEE + p)),
-				// Seed the send-side scratch so typical first supersteps
-				// skip the append-doubling allocations.
-				outbox: make([]outMsg, 0, 16),
-				leased: make([][]byte, 0, 4),
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					e.fail(runPanicError(p, r))
-				}
-				// Computation charged after the final sync still occupies
-				// this processor.
-				e.mu.Lock()
-				e.computeAt[p] += ctx.compute
-				e.mu.Unlock()
-				e.finish()
-			}()
-			prog(ctx)
-		}(p)
+	ctxs := make([]Context, n)
+	for p := range ctxs {
+		e.turn[p] = make(chan struct{}, 1)
+		ctxs[p] = Context{
+			e: e, id: p, rng: e.rng.Split(uint64(0xC0FFEE + p)),
+			// Seed the send-side scratch so typical first supersteps
+			// skip the append-doubling allocations.
+			outbox: make([]outMsg, 0, 16),
+			leased: make([][]byte, 0, 4),
+		}
+		go e.proc(&ctxs[p], prog)
 	}
-	wg.Wait()
+	e.pass(-1) // hand the first turn to processor 0
+	<-e.fin
 
 	if e.err != nil {
 		return nil, e.err
@@ -228,6 +226,25 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 	e.res.Time = maxClock
 	e.res.CommTime = e.res.Time - e.res.ComputeTime
 	return &e.res, nil
+}
+
+// proc is the goroutine of the processor ctx: it waits for its first turn
+// and runs the program. When the program returns or panics, the processor
+// leaves the ring and hands its last turn on.
+func (e *engine) proc(ctx *Context, prog Program) {
+	p := ctx.id
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(runPanicError(p, r))
+		}
+		// Computation charged after the final sync still occupies this
+		// processor.
+		e.computeAt[p] += ctx.compute
+		e.returned[p] = true
+		e.pass(p)
+	}()
+	e.wait(p)
+	prog(ctx)
 }
 
 // runPanicError converts a processor-goroutine panic into the run's error.
@@ -252,66 +269,86 @@ func runPanicError(p int, r any) error {
 	return fmt.Errorf("bsplib: processor %d panicked: %v", p, r)
 }
 
-// fail records the first error and wakes everyone.
+// fail records the run's first error. The ring keeps turning: every
+// processor that gets the turn afterwards unwinds (see wait).
 func (e *engine) fail(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.failLocked(err)
-}
-
-func (e *engine) failLocked(err error) {
 	if e.err == nil {
 		e.err = err
 	}
-	e.cond.Broadcast()
 }
 
-// finish marks one processor's program as returned. If every other live
-// processor is already waiting at a step, the step proceeds without the
-// finished processor (it contributes no messages).
-func (e *engine) finish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.done++
-	if e.err == nil && e.arrived > 0 && e.arrived+e.done == e.n {
-		e.routeLocked()
-	}
-	e.cond.Broadcast()
-}
-
-// sync is the rendezvous: processor p contributes its outbox and blocks
-// until the step is priced and delivered. The last arriver routes.
+// sync ends processor p's turn at a step: p contributes its outbox and
+// compute, hands the turn on, and parks until the step has been priced and
+// delivered and the turn comes back round.
 func (e *engine) sync(p int, barrier bool, outbox []outMsg, compute sim.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		panic(abortRun{e.err})
-	}
 	if e.arrived == 0 {
 		e.stepBarrier = barrier
 	} else if e.stepBarrier != barrier {
-		e.failLocked(fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx))
+		e.fail(fmt.Errorf("bsplib: processors disagree on step type (barrier vs flush) at step %d", e.stepIdx))
 		panic(abortRun{e.err})
 	}
 	e.outboxes[p] = outbox
 	e.computeAt[p] += compute
-	myGen := e.gen
 	e.arrived++
-	if e.arrived+e.done == e.n {
-		e.routeLocked()
-		e.cond.Broadcast()
-	} else {
-		for e.gen == myGen && e.err == nil {
-			e.cond.Wait()
-		}
-	}
+	e.pass(p)
+	e.wait(p)
+}
+
+// wait parks processor p until it holds the turn. A turn taken after the
+// run failed unwinds p's program instead.
+func (e *engine) wait(p int) {
+	<-e.turn[p]
 	if e.err != nil {
 		panic(abortRun{e.err})
 	}
 }
 
-// routeLocked prices and delivers the gathered step. Called with e.mu held.
-func (e *engine) routeLocked() {
+// pass ends processor p's turn by handing it to the next live processor of
+// the round. If p was the last, every live processor has now either arrived
+// at the step or returned: the step is priced and delivered (a returned
+// processor contributes no messages), and the turn wraps to the first live
+// processor. Once no processor is live, Run is woken instead.
+func (e *engine) pass(p int) {
+	if q := e.nextLive(p + 1); q >= 0 {
+		e.turn[q] <- struct{}{}
+		return
+	}
+	if e.arrived > 0 && e.err == nil {
+		e.routeStep(p)
+	}
+	e.arrived = 0
+	if q := e.nextLive(0); q >= 0 {
+		e.turn[q] <- struct{}{}
+		return
+	}
+	close(e.fin)
+}
+
+// nextLive returns the first processor at or after from whose program has
+// not returned, or -1 if there is none.
+func (e *engine) nextLive(from int) int {
+	for q := from; q < e.n; q++ {
+		if !e.returned[q] {
+			return q
+		}
+	}
+	return -1
+}
+
+// routeStep routes the gathered step on processor p's turn. A router panic
+// - a structured failure the simulators raise under fault injection, or a
+// bug - becomes the run's error, whether p is syncing or returning.
+func (e *engine) routeStep(p int) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(runPanicError(p, r))
+		}
+	}()
+	e.route()
+}
+
+// route prices and delivers the gathered step.
+func (e *engine) route() {
 	barrier := e.stepBarrier
 	e.res.Supersteps++
 	wallBefore := sim.Time(0)
@@ -352,30 +389,28 @@ func (e *engine) routeLocked() {
 	}
 
 	if err := e.checkDiscipline(); err != nil {
-		e.failLocked(err)
+		e.fail(err)
 		return
 	}
 
 	if e.m.SIMD {
-		e.routeSIMDLocked(barrier)
+		e.routeSIMD(barrier)
 	} else {
-		e.routeMIMDLocked(barrier)
+		e.routeMIMD(barrier)
 	}
 	if e.err != nil {
 		return
 	}
 	if e.opt.Trace != nil {
-		e.recordTraceLocked(barrier, maxC, wallBefore, commStepsBefore)
+		e.recordTrace(barrier, maxC, wallBefore, commStepsBefore)
 	}
-	e.deliverLocked()
+	e.deliver()
 	e.stepIdx++
-	e.arrived = 0
-	e.gen++
 }
 
-// recordTraceLocked appends this step's timeline record. Called with e.mu
-// held, before delivery clears the outboxes.
-func (e *engine) recordTraceLocked(barrier bool, maxC, wallBefore sim.Time, commStepsBefore int) {
+// recordTrace appends this step's timeline record. It runs before delivery
+// clears the outboxes.
+func (e *engine) recordTrace(barrier bool, maxC, wallBefore sim.Time, commStepsBefore int) {
 	rec := trace.Superstep{
 		Barrier:   barrier,
 		Compute:   maxC,
@@ -435,13 +470,13 @@ func (e *engine) checkDiscipline() error {
 	return nil
 }
 
-// routeMIMDLocked prices the step on an asynchronous machine, expanding
+// routeMIMD prices the step on an asynchronous machine, expanding
 // word streams into individual word messages in send order. The step is
 // built in engine-owned scratch; routers may hold views into it only until
 // their next Route call (they all reset per call).
 //
 //qpvet:hotpath
-func (e *engine) routeMIMDLocked(barrier bool) {
+func (e *engine) routeMIMD(barrier bool) {
 	w := e.m.WordBytes
 	sends := e.sendsBuf
 	for p := range sends {
@@ -499,13 +534,13 @@ func (e *engine) routeMIMDLocked(barrier bool) {
 	e.res.Stats.Add(res.Stats)
 }
 
-// routeSIMDLocked prices the step on a lockstep machine. Clocks are already
+// routeSIMD prices the step on a lockstep machine. Clocks are already
 // aligned. Block messages form one synchronous communication step; streams
 // are priced as ceil(bytes/word) one-word steps each costing a full router
 // step (the MP-BSP cost model's (g+L) per word).
 //
 //qpvet:hotpath
-func (e *engine) routeSIMDLocked(barrier bool) {
+func (e *engine) routeSIMD(barrier bool) {
 	_ = barrier // every SIMD step is aligned; barrier is implicit
 	hasStream, hasBlock := false, false
 	for p := 0; p < e.n; p++ {
@@ -519,7 +554,7 @@ func (e *engine) routeSIMDLocked(barrier bool) {
 	}
 	if hasStream && hasBlock {
 		//qpvet:ignore hotalloc -- cold failure path: the step is already invalid when this formats
-		e.failLocked(fmt.Errorf("bsplib: step %d mixes word streams and block messages on a SIMD machine", e.stepIdx))
+		e.fail(fmt.Errorf("bsplib: step %d mixes word streams and block messages on a SIMD machine", e.stepIdx))
 		return
 	}
 
@@ -664,7 +699,7 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 	return res.Elapsed * sim.Time(repeat)
 }
 
-// deliverLocked moves payloads to the destination inboxes in deterministic
+// deliver moves payloads to the destination inboxes in deterministic
 // order (by source, then send order), replacing the previous step's
 // deliveries.
 //
@@ -676,7 +711,7 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // verbatim, so its bytes must stay intact until they have been copied out.
 //
 //qpvet:hotpath
-func (e *engine) deliverLocked() {
+func (e *engine) deliver() {
 	for p := 0; p < e.n; p++ {
 		e.inboxes[p] = e.inboxes[p][:0]
 	}

@@ -1,14 +1,19 @@
 package bsplib
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"quantpar/internal/comm"
+	"quantpar/internal/faults"
 	"quantpar/internal/machine"
 	"quantpar/internal/phase"
 	"quantpar/internal/sim"
+	"quantpar/internal/topology"
 	"quantpar/internal/trace"
 	"quantpar/internal/wire"
 )
@@ -325,6 +330,72 @@ func TestProgramPanicBecomesError(t *testing.T) {
 	}, Options{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not surfaced: %v", err)
+	}
+}
+
+// panicRouter panics with a fixed value on every Route call, standing in
+// for a simulator that raises a structured failure mid-step.
+type panicRouter struct {
+	procs int
+	v     any
+}
+
+func (r *panicRouter) Name() string { return "panic" }
+func (r *panicRouter) Procs() int   { return r.procs }
+func (r *panicRouter) Route(*comm.Step, *sim.RNG) comm.Result {
+	panic(r.v)
+}
+
+// TestRouterPanicOnReturnPathIsError covers a step that is routed when its
+// last live processor returns rather than when it syncs: processor 0 waits
+// at Sync and processor 1 returns. The structured router panics must come
+// back as the run's error, matchable with errors.As / errors.Is, and with
+// the same text on every run.
+func TestRouterPanicOnReturnPathIsError(t *testing.T) {
+	cases := []struct {
+		name  string
+		panic any
+		match func(error) bool
+	}{
+		{"delivery", &faults.DeliveryError{Router: "panic", Src: 0, Dst: 1, Seq: 3, Attempts: 8},
+			func(err error) bool { var d *faults.DeliveryError; return errors.As(err, &d) && d.Attempts == 8 }},
+		{"deadline", &sim.DeadlineError{Router: "panic", Events: 10, Reason: "event budget exhausted"},
+			func(err error) bool { var d *sim.DeadlineError; return errors.As(err, &d) && d.Events == 10 }},
+		{"partition", fmt.Errorf("link 0-1 down: %w", topology.ErrPartitioned),
+			func(err error) bool { return errors.Is(err, topology.ErrPartitioned) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := &machine.Machine{
+				Name:      "panic",
+				Router:    &panicRouter{procs: 2, v: c.panic},
+				Compute:   &machine.BasicCompute{AlphaC: 1, Beta: 1, Gamma: 1, MergeC: 1, OpC: 2},
+				WordBytes: 4,
+			}
+			var first string
+			for i := 0; i < 20; i++ {
+				_, err := Run(m, func(ctx *Context) {
+					if ctx.ID() == 1 {
+						// The ring always runs processor 1 after processor 0
+						// has synced. The sleep gives a concurrent executor
+						// the same order, the one that routes the step on
+						// processor 1's return path.
+						time.Sleep(time.Millisecond)
+						return
+					}
+					ctx.Send(1, 1, []byte("x"))
+					ctx.Sync()
+				}, Options{Seed: 1})
+				if err == nil || !c.match(err) {
+					t.Fatalf("run %d: router panic not surfaced as a structured error: %v", i, err)
+				}
+				if i == 0 {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Fatalf("run %d: error text %q, first run %q", i, err.Error(), first)
+				}
+			}
+		})
 	}
 }
 

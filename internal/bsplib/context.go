@@ -9,8 +9,9 @@ import (
 )
 
 // Context is a simulated processor's handle to the engine. Each processor
-// goroutine owns exactly one Context; none of its methods may be shared
-// across goroutines.
+// goroutine owns exactly one Context and runs only while it holds the
+// superstep turn; none of its methods may be called from another
+// goroutine.
 type Context struct {
 	e   *engine
 	id  int

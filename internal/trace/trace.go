@@ -12,7 +12,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"quantpar/internal/sim"
 )
@@ -44,11 +43,11 @@ func (s Superstep) Comm() sim.Time {
 	return c
 }
 
-// Recorder accumulates superstep records. It is safe for use by the engine
-// (which records while holding its own lock) and by concurrent readers
-// after the run completes.
+// Recorder accumulates superstep records. It is not safe for concurrent
+// use and needs no lock: during a run the engine records from whichever
+// processor holds the superstep turn, one at a time, and readers inspect
+// the recorder after Run returns.
 type Recorder struct {
-	mu    sync.Mutex
 	steps []Superstep
 }
 
@@ -57,23 +56,17 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record appends one superstep.
 func (r *Recorder) Record(s Superstep) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s.Index = len(r.steps)
 	r.steps = append(r.steps, s)
 }
 
 // Steps returns a copy of the recorded timeline.
 func (r *Recorder) Steps() []Superstep {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]Superstep(nil), r.steps...)
 }
 
 // Len returns the number of recorded supersteps.
 func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.steps)
 }
 
@@ -89,8 +82,6 @@ type Totals struct {
 
 // Totals computes aggregate statistics.
 func (r *Recorder) Totals() Totals {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var t Totals
 	t.Supersteps = len(r.steps)
 	for _, s := range r.steps {
