@@ -1,16 +1,13 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (regenerating the corresponding data series at quick scale; set QP_FULL=1
-// for the paper's ranges), plus ablation benchmarks for the design decisions called out in
-// DESIGN.md. The figure benchmarks report simulated microseconds per data
-// point (sim-us/pt) and event-loop work per iteration (sim-events/op —
-// events actually simulated, so phase-cache replays count zero) alongside
-// the usual wall-clock ns/op of regenerating the series.
+// Benchmark harness: ablation benchmarks for the design decisions called
+// out in DESIGN.md, plus the event-queue, sweep-engine, superstep and
+// public-API benchmarks. The per-figure/table benchmarks live in
+// cmd/qpbench, which runs every registered experiment and gates its
+// allocation and simulated-event counts against QPBENCH_baseline.json.
 package quantpar_test
 
 import (
 	"container/heap"
 	"fmt"
-	"os"
 	"testing"
 
 	"quantpar"
@@ -19,86 +16,12 @@ import (
 	"quantpar/internal/bsplib"
 	"quantpar/internal/calibrate"
 	"quantpar/internal/comm"
-	"quantpar/internal/experiments"
 	"quantpar/internal/machine"
 	_ "quantpar/internal/machine/backends"
-	"quantpar/internal/phase"
 	"quantpar/internal/router/maspar"
 	"quantpar/internal/router/mesh"
 	"quantpar/internal/sim"
 )
-
-// benchContext picks the sweep scale: QP_FULL=1 reproduces the paper's
-// ranges, default stays laptop-quick.
-func benchContext() *experiments.Context {
-	ctx := experiments.DefaultContext()
-	if os.Getenv("QP_FULL") == "1" {
-		ctx.Scale = experiments.Full
-	}
-	return ctx
-}
-
-// benchExperiment runs one figure/table experiment per iteration and
-// fails the benchmark if the paper's shape checks stop holding.
-func benchExperiment(b *testing.B, id string) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := benchContext()
-	b.ReportAllocs()
-	var simTime float64
-	var points int
-	ev0 := phase.SimEvents()
-	for i := 0; i < b.N; i++ {
-		o, err := e.Run(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !o.Passed() {
-			for _, c := range o.Checks {
-				if !c.Pass {
-					b.Fatalf("%s: %s: %s", id, c.Name, c.Detail)
-				}
-			}
-		}
-		simTime = 0
-		points = 0
-		for _, s := range o.Series {
-			for _, m := range s.Measured {
-				simTime += m
-				points++
-			}
-		}
-	}
-	if points > 0 {
-		b.ReportMetric(simTime/float64(points), "sim-us/pt")
-	}
-	b.ReportMetric(float64(phase.SimEvents()-ev0)/float64(b.N), "sim-events/op")
-}
-
-func BenchmarkTable1Params(b *testing.B)              { benchExperiment(b, "table1") }
-func BenchmarkFig01MasPar1hRelations(b *testing.B)    { benchExperiment(b, "fig01") }
-func BenchmarkFig02MasParPartialPerm(b *testing.B)    { benchExperiment(b, "fig02") }
-func BenchmarkFig03MatMulMPBSPMasPar(b *testing.B)    { benchExperiment(b, "fig03") }
-func BenchmarkFig04MatMulBSPCM5(b *testing.B)         { benchExperiment(b, "fig04") }
-func BenchmarkFig05BitonicMasPar(b *testing.B)        { benchExperiment(b, "fig05") }
-func BenchmarkFig06BitonicGCel(b *testing.B)          { benchExperiment(b, "fig06") }
-func BenchmarkFig07HHPermGCel(b *testing.B)           { benchExperiment(b, "fig07") }
-func BenchmarkFig08MatMulBPRAMMasPar(b *testing.B)    { benchExperiment(b, "fig08") }
-func BenchmarkFig09MatMulBPRAMCM5(b *testing.B)       { benchExperiment(b, "fig09") }
-func BenchmarkFig10BitonicBPRAMMasPar(b *testing.B)   { benchExperiment(b, "fig10") }
-func BenchmarkFig11BitonicBPRAMGCel(b *testing.B)     { benchExperiment(b, "fig11") }
-func BenchmarkFig12APSPMasPar(b *testing.B)           { benchExperiment(b, "fig12") }
-func BenchmarkFig13APSPGCel(b *testing.B)             { benchExperiment(b, "fig13") }
-func BenchmarkFig14MultinodeScatterGCel(b *testing.B) { benchExperiment(b, "fig14") }
-func BenchmarkFig15APSPCM5(b *testing.B)              { benchExperiment(b, "fig15") }
-func BenchmarkFig16MatMulModelsCM5(b *testing.B)      { benchExperiment(b, "fig16") }
-func BenchmarkFig17BitonicModelsMasPar(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFig18SortDuelGCel(b *testing.B)         { benchExperiment(b, "fig18") }
-func BenchmarkFig19VendorMasPar(b *testing.B)         { benchExperiment(b, "fig19") }
-func BenchmarkFig20VendorCM5(b *testing.B)            { benchExperiment(b, "fig20") }
-func BenchmarkConcl1MsgGranularity(b *testing.B)      { benchExperiment(b, "concl1") }
 
 // --- ablation benchmarks (design decisions of DESIGN.md Section 5) ---
 

@@ -20,13 +20,12 @@
 #   6. a fresh quick-scale run of all experiments diffs clean against the
 #      committed golden artifacts (internal/runstore/testdata/golden):
 #      any check-verdict flip or out-of-tolerance series drift fails CI;
-#   7. qpbench replays the quick benchmark subset and diffs it against the
-#      committed baselines: an allocs/op increase beyond 10% over any of
-#      BENCH_baseline.json (pre-pipeline), BENCH_pipeline.json
-#      (pre-memoization), or BENCH_memo.json (current) fails CI, as does
-#      any sim-events/op increase over BENCH_memo.json (the event counts
-#      are deterministic, so the tolerance is zero); ns/op and B/op drift
-#      is advisory only.
+#   7. qpbench replays the quick benchmark subset (table1, fig03, fig04,
+#      fig07) and diffs it against the committed QPBENCH_baseline.json
+#      (qpbench -quick -diff QPBENCH_baseline.json): an allocs/op increase
+#      beyond 10% fails CI, as does any sim-events/op increase (the event
+#      counts are deterministic, so the tolerance is zero); ns/op and B/op
+#      drift is advisory only.
 #
 # Each stage prints its wall-clock seconds so slow gates are visible in CI
 # logs without extra tooling.
@@ -40,7 +39,7 @@
 #
 # If an optimization *intentionally* moves allocation or simulated-event
 # counts, regenerate the benchmark snapshot in the same commit:
-#   go run ./cmd/qpbench -o BENCH_memo.json
+#   go run ./cmd/qpbench -o QPBENCH_baseline.json
 #
 # If a qpvet finding is intentional, suppress it in place with
 # `//qpvet:ignore <check> -- reason`; the baseline file is a last resort
@@ -90,8 +89,8 @@ else
 fi
 
 stage "bench-regression gate (qpbench -quick -diff)"
-go run ./cmd/qpbench -quick -diff BENCH_baseline.json -diff BENCH_pipeline.json -diff BENCH_memo.json || {
-    echo "ci: allocs/op or sim-events/op regressed against the committed benchmark baselines"
+go run ./cmd/qpbench -quick -diff QPBENCH_baseline.json || {
+    echo "ci: allocs/op or sim-events/op regressed against the committed benchmark baseline"
     exit 1
 }
 

@@ -2,17 +2,14 @@ package main
 
 // Baseline parsing and metric comparison for the bench-regression gate.
 // Kept free of I/O and process state so main_test.go can exercise the gate
-// logic (both baseline formats, tolerance classification, the blocking /
-// advisory split) without running benchmarks.
+// logic (tolerance classification, the blocking / advisory split) without
+// running benchmarks.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // FormatV1 identifies qpbench's canonical snapshot format.
@@ -27,7 +24,7 @@ type Record struct {
 }
 
 // Report is the canonical qpbench snapshot: what -o writes and what -diff
-// accepts (alongside `go test -json` streams).
+// reads. Records are named by experiment ID.
 type Report struct {
 	Format     string   `json:"format"`
 	Benchmarks []Record `json:"benchmarks"`
@@ -45,108 +42,28 @@ func (r Report) Encode() []byte {
 	return buf.Bytes()
 }
 
-// ParseBaseline reads either baseline format into name-keyed records:
-// qpbench's canonical Report, or a `go test -json` (test2json) stream such
-// as BENCH_baseline.json.
+// ParseBaseline reads a canonical qpbench snapshot into name-keyed records.
 func ParseBaseline(data []byte) (map[string]Record, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("empty baseline")
-	}
 	var rep Report
-	if err := json.Unmarshal(trimmed, &rep); err == nil && rep.Format == FormatV1 {
-		out := make(map[string]Record, len(rep.Benchmarks))
-		for _, r := range rep.Benchmarks {
-			out[r.Name] = r
-		}
-		return out, nil
-	}
-	return parseTestJSON(data)
-}
-
-// parseTestJSON extracts benchmark result lines from a test2json stream.
-// test2json splits a benchmark's output across events — a name-only line,
-// then the tab-separated result ("       1\t  80177195 ns/op\t..."), with
-// sub-benchmarks sometimes carrying name and result on one line — so the
-// parser tracks the most recent benchmark name and attaches the next
-// metrics line to it.
-func parseTestJSON(data []byte) (map[string]Record, error) {
-	type event struct {
-		Action string
-		Output string
-	}
-	out := make(map[string]Record)
-	pending := ""
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("line %d: not a test2json event: %v", lineNo, err)
-		}
-		if ev.Action != "output" {
-			continue
-		}
-		fields := strings.Fields(ev.Output)
-		if len(fields) == 0 {
-			continue
-		}
-		if strings.HasPrefix(fields[0], "Benchmark") {
-			pending = fields[0]
-			fields = fields[1:]
-		}
-		if !strings.Contains(ev.Output, "ns/op") || len(fields) < 3 || pending == "" {
-			continue
-		}
-		iters, err := strconv.Atoi(fields[0])
-		if err != nil {
-			continue // not a result line (e.g. log output mentioning ns/op)
-		}
-		rec := Record{Name: pending, Iterations: iters, Metrics: make(map[string]float64)}
-		for i := 1; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: bad metric value %q for %s", lineNo, fields[i], pending)
-			}
-			rec.Metrics[fields[i+1]] = v
-		}
-		out[rec.Name] = rec
-		pending = ""
-	}
-	if err := sc.Err(); err != nil {
+	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no benchmark results found")
+	if rep.Format != FormatV1 {
+		return nil, fmt.Errorf("format %q, want %q", rep.Format, FormatV1)
+	}
+	out := make(map[string]Record, len(rep.Benchmarks))
+	for _, r := range rep.Benchmarks {
+		out[r.Name] = r
 	}
 	return out, nil
 }
 
-// Tolerances holds per-metric relative thresholds. Allocs and Events are
-// blocking (an increase beyond them makes Diff report a regression); Ns and
-// Bytes are advisory (reported, never blocking). Events defaults to zero
-// because simulated-event counts are deterministic: any increase is a real
-// regression, not noise.
-type Tolerances struct {
-	Allocs float64
-	Ns     float64
-	Bytes  float64
-	Events float64
-}
-
 // Diff compares current records against a baseline. It returns
 // human-readable comparison lines and whether any blocking regression
-// (allocs/op up by more than tol.Allocs, sim-events/op up by more than
-// tol.Events) was found. Benchmarks missing from
-// the baseline are noted but never blocking, so a baseline covering only a
-// subset still gates that subset.
-func Diff(current []Record, base map[string]Record, tol Tolerances) (lines []string, regressed bool) {
+// (allocs/op up by more than 10%, sim-events/op up at all) was found.
+// Benchmarks missing from the baseline are noted but never blocking, so a
+// baseline covering only a subset still gates that subset.
+func Diff(current []Record, base map[string]Record) (lines []string, regressed bool) {
 	cur := append([]Record(nil), current...)
 	sort.Slice(cur, func(i, j int) bool { return cur[i].Name < cur[j].Name })
 	for _, rec := range cur {
@@ -161,7 +78,7 @@ func Diff(current []Record, base map[string]Record, tol Tolerances) (lines []str
 			if !ok {
 				continue
 			}
-			limit, blocking := tol.forUnit(unit)
+			limit, blocking := tolerance(unit)
 			if limit < 0 {
 				continue // unit not gated (e.g. sim-us/pt: simulated time is the goldens' job)
 			}
@@ -183,18 +100,21 @@ func Diff(current []Record, base map[string]Record, tol Tolerances) (lines []str
 	return lines, regressed
 }
 
-// forUnit returns the relative tolerance for a unit and whether exceeding
-// it blocks. A negative tolerance means the unit is not compared.
-func (t Tolerances) forUnit(unit string) (limit float64, blocking bool) {
+// tolerance returns the relative tolerance for a unit and whether
+// exceeding it blocks. allocs/op and sim-events/op block; ns/op and B/op
+// are advisory. sim-events/op tolerates nothing because simulated-event
+// counts are deterministic: any increase is a real regression, not noise.
+// A negative tolerance means the unit is not compared.
+func tolerance(unit string) (limit float64, blocking bool) {
 	switch unit {
 	case "allocs/op":
-		return t.Allocs, true
+		return 0.10, true
 	case "sim-events/op":
-		return t.Events, true
+		return 0, true
 	case "ns/op":
-		return t.Ns, false
+		return 0.25, false
 	case "B/op":
-		return t.Bytes, false
+		return 0.10, false
 	}
 	return -1, false
 }

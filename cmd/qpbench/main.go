@@ -1,35 +1,35 @@
-// Command qpbench runs the figure/table benchmarks in-process, emits a
-// canonical BENCH_*.json snapshot, and diffs ns/op, B/op, allocs/op, and
-// sim-events/op against committed baselines with per-metric tolerances — a
-// benchstat-style regression gate for the zero-copy message pipeline and
-// the phase memo cache.
+// Command qpbench runs the figure/table experiments as in-process
+// benchmarks, emits a canonical qpbench/v1 snapshot keyed by experiment ID,
+// and diffs ns/op, B/op, allocs/op, and sim-events/op against the committed
+// QPBENCH_baseline.json — a benchstat-style regression gate for the
+// zero-copy message pipeline and the phase memo cache.
 //
 // Usage:
 //
-//	qpbench                             # run every figure/table benchmark
-//	qpbench -quick                      # table1 + fig03 + fig04 only
-//	qpbench -o BENCH_memo.json          # write the canonical snapshot
-//	qpbench -quick -diff BENCH_baseline.json
-//	                                    # run and compare against a baseline
-//	qpbench -ids fig03,fig04            # explicit benchmark subset
+//	qpbench                                # benchmark every experiment
+//	qpbench -quick                         # table1 + fig03 + fig04 + fig07 only
+//	qpbench -o QPBENCH_baseline.json       # write the canonical snapshot
+//	qpbench -quick -diff QPBENCH_baseline.json
+//	                                       # run and compare against the baseline
+//	qpbench -ids fig03,fig04               # explicit experiment subset
 //
-// Each benchmark is sampled three times and every metric keeps its
-// per-sample minimum (the benchstat convention: the least-interfered-with
-// run is the honest one). The phase memo store is reset at the start of
-// each benchmark, so sample one runs cold and the later samples replay it:
-// the reported sim-events/op — events actually simulated, cache replays
-// counting zero — is the steady-state warm count, deterministic and
-// independent of which benchmarks ran earlier in the process.
+// Each benchmark is one iteration sampled three times, and every metric
+// keeps its per-sample minimum (the benchstat convention: the
+// least-interfered-with run is the honest one). The phase memo store is
+// reset at the start of each benchmark, so sample one runs cold and the
+// later samples replay it: the reported sim-events/op — events actually
+// simulated, cache replays counting zero — is the steady-state warm count,
+// deterministic and independent of which benchmarks ran earlier in the
+// process. Sweeps run on one worker, because every extra parsweep worker
+// builds its own machine and would make allocs/op a function of the host's
+// core count rather than of the code.
 //
-// -diff may be repeated; each file may be either qpbench's canonical format
-// or a `go test -json` stream (the format of BENCH_baseline.json). An
-// allocs/op increase beyond -alloc-tol (default 10%) or a sim-events/op
-// increase beyond -events-tol (default 0: the count is deterministic, so
-// any increase is real) against any baseline is a blocking regression:
+// An allocs/op increase beyond 10% or any sim-events/op increase (the count
+// is deterministic, so any increase is real) is a blocking regression:
 // qpbench prints it and exits 1. Wall-clock ns/op and B/op drift is
 // reported as advisory only, because single-iteration timings on shared CI
-// hardware are too noisy to gate on. Baselines that predate a metric simply
-// don't gate it.
+// hardware are too noisy to gate on. Experiments missing from the baseline
+// are reported and not gated.
 //
 // qpbench exits 0 on success, 1 on a benchmark failure or a blocking
 // regression, and 2 on usage errors.
@@ -47,117 +47,66 @@ import (
 	"quantpar/internal/phase"
 )
 
-// figureBenches maps experiment IDs to the benchmark names used by
-// bench_test.go (and therefore by BENCH_baseline.json), in run order.
-var figureBenches = []struct{ id, name string }{
-	{"table1", "BenchmarkTable1Params"},
-	{"fig01", "BenchmarkFig01MasPar1hRelations"},
-	{"fig02", "BenchmarkFig02MasParPartialPerm"},
-	{"fig03", "BenchmarkFig03MatMulMPBSPMasPar"},
-	{"fig04", "BenchmarkFig04MatMulBSPCM5"},
-	{"fig05", "BenchmarkFig05BitonicMasPar"},
-	{"fig06", "BenchmarkFig06BitonicGCel"},
-	{"fig07", "BenchmarkFig07HHPermGCel"},
-	{"fig08", "BenchmarkFig08MatMulBPRAMMasPar"},
-	{"fig09", "BenchmarkFig09MatMulBPRAMCM5"},
-	{"fig10", "BenchmarkFig10BitonicBPRAMMasPar"},
-	{"fig11", "BenchmarkFig11BitonicBPRAMGCel"},
-	{"fig12", "BenchmarkFig12APSPMasPar"},
-	{"fig13", "BenchmarkFig13APSPGCel"},
-	{"fig14", "BenchmarkFig14MultinodeScatterGCel"},
-	{"fig15", "BenchmarkFig15APSPCM5"},
-	{"fig16", "BenchmarkFig16MatMulModelsCM5"},
-	{"fig17", "BenchmarkFig17BitonicModelsMasPar"},
-	{"fig18", "BenchmarkFig18SortDuelGCel"},
-	{"fig19", "BenchmarkFig19VendorMasPar"},
-	{"fig20", "BenchmarkFig20VendorCM5"},
-	{"concl1", "BenchmarkConcl1MsgGranularity"},
-}
-
-// quickIDs is the -quick subset: the three benchmarks the issue tracks
-// (Table 1 calibration plus the two matmul figures whose allocation churn
-// motivated the zero-copy pipeline).
-var quickIDs = []string{"table1", "fig03", "fig04"}
-
-func nameOf(id string) (string, bool) {
-	for _, fb := range figureBenches {
-		if fb.id == id {
-			return fb.name, true
-		}
-	}
-	return "", false
-}
-
-type diffFiles []string
-
-func (d *diffFiles) String() string { return strings.Join(*d, ",") }
-func (d *diffFiles) Set(v string) error {
-	*d = append(*d, v)
-	return nil
-}
+// quickIDs is the -quick subset CI gates: Table 1 calibration and the two
+// matmul figures whose allocation churn motivated the zero-copy pipeline,
+// plus fig07, whose memo-bypassed desync study keeps the sim-events/op gate
+// watching an engine that actually simulates.
+var quickIDs = []string{"table1", "fig03", "fig04", "fig07"}
 
 func main() {
-	var diffs diffFiles
-	quick := flag.Bool("quick", false, "run only the quick subset (table1, fig03, fig04)")
-	ids := flag.String("ids", "", "comma-separated experiment IDs to benchmark (default: all)")
-	out := flag.String("o", "", "write the canonical qpbench JSON snapshot to this file")
-	scale := flag.String("scale", "quick", "sweep scale: quick or full (QP_FULL=1 also selects full)")
-	benchtime := flag.String("benchtime", "1x", "benchmark time per benchmark (go test -benchtime syntax)")
-	allocTol := flag.Float64("alloc-tol", 0.10, "blocking tolerance for allocs/op increases")
-	nsTol := flag.Float64("ns-tol", 0.25, "advisory tolerance for ns/op increases")
-	bytesTol := flag.Float64("bytes-tol", 0.10, "advisory tolerance for B/op increases")
-	eventsTol := flag.Float64("events-tol", 0, "blocking tolerance for sim-events/op increases (deterministic; any increase is real)")
-	flag.Var(&diffs, "diff", "baseline file to compare against (repeatable; canonical or go test -json format)")
-	testing.Init()
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "qpbench: unexpected arguments %q\n", flag.Args())
+	fs := flag.NewFlagSet("qpbench", flag.ExitOnError)
+	quick := fs.Bool("quick", false, "run only the quick subset ("+strings.Join(quickIDs, ", ")+")")
+	ids := fs.String("ids", "", "comma-separated experiment IDs to benchmark (default: all)")
+	out := fs.String("o", "", "write the canonical qpbench JSON snapshot to this file")
+	scale := fs.String("scale", "quick", "sweep scale: quick or full")
+	diff := fs.String("diff", "", "baseline snapshot to compare against")
+	fs.Parse(os.Args[1:])
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "qpbench: unexpected arguments %q\n", fs.Args())
 		os.Exit(2)
 	}
-	if err := flag.Set("test.benchtime", *benchtime); err != nil {
-		fmt.Fprintln(os.Stderr, "qpbench: bad -benchtime:", err)
-		os.Exit(2)
+	// testing.Benchmark reads its run length from the test flags, which
+	// live on the default flag set and are never parsed from the command
+	// line: one iteration per sample, always.
+	testing.Init()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		panic(err)
 	}
 
 	ctx := experiments.DefaultContext()
-	if *scale == "full" || os.Getenv("QP_FULL") == "1" {
+	ctx.Workers = 1 // each parsweep worker builds its own machine; see the package doc
+	switch *scale {
+	case "quick":
+	case "full":
 		ctx.Scale = experiments.Full
-	} else if *scale != "quick" {
+	default:
 		fmt.Fprintf(os.Stderr, "qpbench: unknown -scale %q (want quick or full)\n", *scale)
 		os.Exit(2)
 	}
 
-	selected := make([]string, 0, len(figureBenches))
+	names := experiments.IDs()
 	switch {
 	case *ids != "":
-		for _, id := range strings.Split(*ids, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := nameOf(id); !ok {
-				fmt.Fprintf(os.Stderr, "qpbench: unknown experiment id %q\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, id)
-		}
+		names = strings.Split(*ids, ",")
 	case *quick:
-		selected = append(selected, quickIDs...)
-	default:
-		for _, fb := range figureBenches {
-			selected = append(selected, fb.id)
-		}
+		names = quickIDs
 	}
-
-	report := Report{Format: FormatV1}
-	failed := false
-	for _, id := range selected {
-		name, _ := nameOf(id)
-		e, err := experiments.ByID(id)
+	selected := make([]experiments.Experiment, 0, len(names))
+	for _, id := range names {
+		e, err := experiments.ByID(strings.TrimSpace(id))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qpbench:", err)
 			os.Exit(2)
 		}
-		rec, err := runBenchmark(e, name, ctx)
+		selected = append(selected, e)
+	}
+
+	report := Report{Format: FormatV1}
+	failed := false
+	for _, e := range selected {
+		rec, err := runBenchmark(e, ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
@@ -172,25 +121,22 @@ func main() {
 		}
 	}
 
-	tol := Tolerances{Allocs: *allocTol, Ns: *nsTol, Bytes: *bytesTol, Events: *eventsTol}
 	regressed := false
-	for _, file := range diffs {
-		data, err := os.ReadFile(file)
+	if *diff != "" {
+		data, err := os.ReadFile(*diff)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qpbench:", err)
 			os.Exit(2)
 		}
 		base, err := ParseBaseline(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", file, err)
+			fmt.Fprintf(os.Stderr, "qpbench: %s: %v\n", *diff, err)
 			os.Exit(2)
 		}
-		lines, bad := Diff(report.Benchmarks, base, tol)
+		var lines []string
+		lines, regressed = Diff(report.Benchmarks, base)
 		for _, l := range lines {
-			fmt.Printf("diff %s: %s\n", file, l)
-		}
-		if bad {
-			regressed = true
+			fmt.Printf("diff %s: %s\n", *diff, l)
 		}
 	}
 
@@ -199,16 +145,15 @@ func main() {
 	}
 }
 
-// runBenchmark measures one experiment with the same loop as
-// bench_test.go's benchExperiment: each iteration replays the experiment,
-// shape-check failures abort, and the mean simulated microseconds per data
-// point and the simulated-event count ride along as extra metrics. The
-// benchmark is sampled three times, keeping every metric's per-sample
-// minimum; the phase memo store is cleared once up front, so the first
-// sample fills it, the later samples replay it, and the sim-events/op
-// minimum is the deterministic steady-state count — unaffected by whatever
-// the process cached before this benchmark.
-func runBenchmark(e experiments.Experiment, name string, ctx *experiments.Context) (Record, error) {
+// runBenchmark measures one experiment: each iteration replays the
+// experiment, shape-check failures abort, and the mean simulated
+// microseconds per data point and the simulated-event count ride along as
+// extra metrics. The benchmark is sampled three times, keeping every
+// metric's per-sample minimum; the phase memo store is cleared once up
+// front, so the first sample fills it, the later samples replay it, and the
+// sim-events/op minimum is the deterministic steady-state count —
+// unaffected by whatever the process cached before this benchmark.
+func runBenchmark(e experiments.Experiment, ctx *experiments.Context) (Record, error) {
 	const samples = 3
 	var rec Record
 	phase.ResetStore()
@@ -262,7 +207,7 @@ func runBenchmark(e experiments.Experiment, name string, ctx *experiments.Contex
 			m[unit] = v
 		}
 		if s == 0 {
-			rec = Record{Name: name, Iterations: r.N, Metrics: m}
+			rec = Record{Name: e.ID, Iterations: r.N, Metrics: m}
 			continue
 		}
 		for unit, v := range m {
@@ -277,7 +222,7 @@ func runBenchmark(e experiments.Experiment, name string, ctx *experiments.Contex
 // BenchLine renders the record in the standard `go test -bench` shape.
 func (r Record) BenchLine() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-34s\t%8d", r.Name, r.Iterations)
+	fmt.Fprintf(&sb, "%-8s\t%8d", r.Name, r.Iterations)
 	for _, unit := range []string{"ns/op", "sim-us/pt", "sim-events/op", "B/op", "allocs/op"} {
 		if v, ok := r.Metrics[unit]; ok {
 			fmt.Fprintf(&sb, "\t%s %s", formatValue(v), unit)

@@ -1,56 +1,10 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
-
-// testStream is a minimal test2json stream in the shape go test -json
-// produces for benchmarks: name-only events, split name/result events, and
-// a sub-benchmark whose name and result share one line.
-const testStream = `{"Time":"2026-08-06T09:30:27.29Z","Action":"start","Package":"quantpar"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Output":"goos: linux\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"run","Package":"quantpar","Test":"BenchmarkAlpha"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"=== RUN   BenchmarkAlpha\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"BenchmarkAlpha\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"BenchmarkAlpha              \t"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkAlpha","Output":"       1\t  80177195 ns/op\t      1552 sim-us/pt\t39485128 B/op\t  422793 allocs/op\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkBeta","Output":"BenchmarkBeta/sub-case       \t       1\t  44891512 ns/op\t     12609 sim-us\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkGamma","Output":"BenchmarkGamma    \t"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"output","Package":"quantpar","Test":"BenchmarkGamma","Output":"       2\t       766.5 ns/op\t      64 B/op\t       2 allocs/op\n"}
-{"Time":"2026-08-06T09:30:27.29Z","Action":"pass","Package":"quantpar"}
-`
-
-func TestParseTestJSONStream(t *testing.T) {
-	base, err := ParseBaseline([]byte(testStream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, ok := base["BenchmarkAlpha"]
-	if !ok {
-		t.Fatalf("BenchmarkAlpha missing; got %v", base)
-	}
-	if alpha.Iterations != 1 {
-		t.Errorf("alpha iterations = %d, want 1", alpha.Iterations)
-	}
-	for unit, want := range map[string]float64{
-		"ns/op": 80177195, "sim-us/pt": 1552, "B/op": 39485128, "allocs/op": 422793,
-	} {
-		if got := alpha.Metrics[unit]; got != want {
-			t.Errorf("alpha %s = %v, want %v", unit, got, want)
-		}
-	}
-	beta, ok := base["BenchmarkBeta/sub-case"]
-	if !ok {
-		t.Fatalf("sub-benchmark missing; got %v", base)
-	}
-	if got := beta.Metrics["sim-us"]; got != 12609 {
-		t.Errorf("beta sim-us = %v, want 12609", got)
-	}
-	if gamma := base["BenchmarkGamma"]; gamma.Iterations != 2 || gamma.Metrics["ns/op"] != 766.5 {
-		t.Errorf("gamma = %+v, want 2 iterations at 766.5 ns/op", gamma)
-	}
-}
 
 func TestParseBaselineCanonical(t *testing.T) {
 	rep := Report{Format: FormatV1, Benchmarks: []Record{
@@ -81,7 +35,7 @@ func diffCase(t *testing.T, oldAllocs, newAllocs, oldNs, newNs float64) ([]strin
 	cur := []Record{
 		{Name: "BenchmarkX", Metrics: map[string]float64{"allocs/op": newAllocs, "ns/op": newNs}},
 	}
-	return Diff(cur, base, Tolerances{Allocs: 0.10, Ns: 0.25, Bytes: 0.10})
+	return Diff(cur, base)
 }
 
 func TestDiffBlocksOnAllocRegression(t *testing.T) {
@@ -122,7 +76,7 @@ func TestDiffImprovementFactorRendering(t *testing.T) {
 
 func TestDiffMissingBenchmarkIsNotBlocking(t *testing.T) {
 	cur := []Record{{Name: "BenchmarkNew", Metrics: map[string]float64{"allocs/op": 10}}}
-	lines, regressed := Diff(cur, map[string]Record{}, Tolerances{Allocs: 0.10})
+	lines, regressed := Diff(cur, map[string]Record{})
 	if regressed {
 		t.Fatalf("missing baseline entry blocked; lines: %v", lines)
 	}
@@ -134,10 +88,28 @@ func TestDiffZeroBaselineBlocksAnyIncrease(t *testing.T) {
 	}
 }
 
-func TestQuickSubsetKnown(t *testing.T) {
+// TestBaselineCoversQuickSubset keeps the CI gate honest: a quick-subset
+// experiment missing from the committed snapshot, or lacking one of the
+// blocking metrics, would be reported as skipped and silently ungated.
+func TestBaselineCoversQuickSubset(t *testing.T) {
+	data, err := os.ReadFile("../../QPBENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ParseBaseline(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range quickIDs {
-		if _, ok := nameOf(id); !ok {
-			t.Errorf("quick id %q has no benchmark name", id)
+		rec, ok := base[id]
+		if !ok {
+			t.Errorf("quick id %q missing from QPBENCH_baseline.json", id)
+			continue
+		}
+		for _, unit := range []string{"allocs/op", "sim-events/op"} {
+			if _, ok := rec.Metrics[unit]; !ok {
+				t.Errorf("%s has no %s in QPBENCH_baseline.json", id, unit)
+			}
 		}
 	}
 }

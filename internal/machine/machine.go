@@ -25,18 +25,6 @@ var builds atomic.Int64
 // Builds returns the number of machine constructions since process start.
 func Builds() int64 { return builds.Load() }
 
-// PhaseHits returns the process-wide number of communication phases
-// replayed from the phase memo cache instead of being simulated.
-func PhaseHits() int64 { return phase.Hits() }
-
-// PhaseMisses returns the process-wide number of memoizable phases that
-// were simulated and stored.
-func PhaseMisses() int64 { return phase.Misses() }
-
-// SimEvents returns the process-wide number of discrete router simulation
-// events processed so far; replayed phases contribute nothing.
-func SimEvents() int64 { return phase.SimEvents() }
-
 // XNetPricer is the capability of machines with a SIMD nearest-neighbour
 // grid (the MasPar's xnet): pricing a lockstep shift of bytes by dist grid
 // positions. Consumers (the vendor library's matmul intrinsic) depend on
@@ -74,24 +62,12 @@ type identified interface {
 	UsesRNG() bool
 }
 
-// Option configures an optional aspect of an assembled machine; Assemble
-// applies options in order after the mandatory wiring.
-type Option func(*Machine) error
-
-// WithFaultPlan arms the machine's interconnect with a deterministic fault
-// plan at assembly time. Pass a freshly built plan per machine: plans carry
-// a mutable fault clock and are not safe to share across router instances.
-func WithFaultPlan(p *faults.Plan) Option {
-	return func(m *Machine) error { return InjectFaults(m, p) }
-}
-
 // Assemble builds a Machine from a raw router backend and a compute model:
 // it validates the compute constants, wraps the router in the phase memo
 // cache using the router's own Fingerprint/UsesRNG identity, detects
-// optional capabilities (XNetPricer) on the raw router, and applies the
-// options (a fault plan, typically). Every machine in the system - preset,
-// custom, or registry-built - goes through here.
-func Assemble(name string, r comm.Router, c Compute, wordBytes int, simd bool, opts ...Option) (*Machine, error) {
+// optional capabilities (XNetPricer) on the raw router. Every machine in
+// the system - preset, custom, or registry-built - goes through here.
+func Assemble(name string, r comm.Router, c Compute, wordBytes int, simd bool) (*Machine, error) {
 	builds.Add(1)
 	if err := Validate(c); err != nil {
 		return nil, err
@@ -109,11 +85,6 @@ func Assemble(name string, r comm.Router, c Compute, wordBytes int, simd bool, o
 	}
 	if xp, ok := r.(XNetPricer); ok {
 		m.XNet = xp
-	}
-	for _, opt := range opts {
-		if err := opt(m); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }

@@ -8,8 +8,8 @@ import (
 	"quantpar/internal/sim"
 )
 
-// Process-wide cache counters, surfaced through machine.PhaseHits /
-// machine.PhaseMisses / machine.SimEvents the same way machine.Builds is.
+// Process-wide cache counters, read through Hits / Misses / SimEvents the
+// same way machine.Builds reads the build count.
 var (
 	hits      atomic.Int64
 	misses    atomic.Int64

@@ -133,17 +133,6 @@ func (q *EventQueue) Pop() Event {
 	return top
 }
 
-// PopAtTime removes and returns the earliest event only if it is scheduled
-// exactly at t. It lets a simulation drain every event of the current
-// instant without re-examining the clock: pop one event, then PopAtTime the
-// rest of its timestamp cohort in FIFO order.
-func (q *EventQueue) PopAtTime(t Time) (Event, bool) {
-	if len(q.h) == 0 || q.h[0].At != t { //qpvet:ignore simtime -- exact match selects the same-instant cohort
-		return Event{}, false
-	}
-	return q.Pop(), true
-}
-
 // Peek returns the earliest event without removing it. The second result
 // is false if the queue is empty.
 func (q *EventQueue) Peek() (Event, bool) {
@@ -161,22 +150,6 @@ func (q *EventQueue) Len() int { return len(q.h) }
 // payload memory.
 func (q *EventQueue) Reset() {
 	q.h = q.h[:0]
-	q.seq = 0
-	q.hasFloor = false
-	q.floor = 0
-}
-
-// ResetShrink discards all pending events like Reset, and additionally
-// releases the backing array if it has grown beyond maxCap events. A long
-// sweep whose largest superstep is far above the steady-state working set
-// would otherwise pin that peak capacity for the rest of the run.
-// maxCap <= 0 always releases the array.
-func (q *EventQueue) ResetShrink(maxCap int) {
-	if cap(q.h) > maxCap {
-		q.h = nil
-	} else {
-		q.h = q.h[:0]
-	}
 	q.seq = 0
 	q.hasFloor = false
 	q.floor = 0

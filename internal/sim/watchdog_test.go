@@ -63,7 +63,7 @@ func TestEventQueueRejectsTimeTravel(t *testing.T) {
 		q.Reset()
 		q.Push(Event{At: 1}) // legal again: a new simulation window
 		q.Pop()
-		q.ResetShrink(0)
+		q.Reset()
 		q.Push(Event{At: 0})
 	})
 }
