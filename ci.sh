@@ -2,7 +2,8 @@
 # ci.sh — the tier-1 gate. Every PR must pass this script unchanged:
 #
 #   1. the module builds;
-#   2. go vet finds nothing;
+#   2. go vet finds nothing, and gofmt lists no unformatted file under
+#      cmd, internal, examples or the repository root;
 #   3. the full test suite passes under the race detector with shuffled
 #      test order (-shuffle=on), so no test depends on a sibling running
 #      first;
@@ -64,6 +65,14 @@ go build ./...
 
 stage "go vet ./..."
 go vet ./...
+
+stage "gofmt -l cmd internal examples *.go"
+unformatted=$(gofmt -l cmd internal examples *.go)
+if [ -n "$unformatted" ]; then
+    printf '%s\n' "$unformatted"
+    echo "ci: the files above are not gofmt-formatted; run gofmt -w on them"
+    exit 1
+fi
 
 stage "go test -race -shuffle=on ./..."
 # The experiments package replays every experiment several times over

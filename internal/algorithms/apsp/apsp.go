@@ -301,7 +301,7 @@ func broadcast(ctx *bsplib.Context, m *machine.Machine, sc *bcastScratch, seg, d
 }
 
 // bcastScratch holds per-processor reusable buffers for the broadcast wire
-// traffic: encode stages into leased payload buffers via ctx.PayloadBuf and
+// traffic: encode stages into payload buffers from ctx.PayloadBuf and
 // decode reuses program-owned backing, so the N-iteration loop is
 // allocation-free in steady state.
 type bcastScratch struct {
@@ -313,17 +313,17 @@ type bcastScratch struct {
 }
 
 // encode converts a float64 segment to the machine's wire word inside a
-// payload buffer leased from ctx (valid until the next Sync/Flush).
+// payload buffer from ctx.PayloadBuf (valid until the next Sync/Flush).
 func (sc *bcastScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
 	if m.WordBytes == 8 {
-		return wire.AppendFloat64s(ctx.PayloadBuf(8*len(xs))[:0], xs)
+		return wire.AppendFloat64s(ctx.PayloadBuf(8 * len(xs))[:0], xs)
 	}
 	f := sc.f32[:0]
 	for _, v := range xs {
 		f = append(f, float32(v))
 	}
 	sc.f32 = f
-	return wire.AppendFloat32s(ctx.PayloadBuf(4*len(xs))[:0], f)
+	return wire.AppendFloat32s(ctx.PayloadBuf(4 * len(xs))[:0], f)
 }
 
 // decode converts a received payload back to float64s. The result is scratch,

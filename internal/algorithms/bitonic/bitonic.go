@@ -172,8 +172,8 @@ func sortKeys(ctx *bsplib.Context, keys []uint32, cfg Config) {
 // decode it before the next exchange.
 func exchange(ctx *bsplib.Context, keys []uint32, cfg Config, partner int, sc *exchScratch) []byte {
 	v, barrierEvery := cfg.Variant, cfg.BarrierEvery
-	// The run is encoded into program-owned scratch rather than a leased
-	// payload buffer: the chunked regimes below send slices of it across
+	// The run is encoded into program-owned scratch rather than a
+	// PayloadBuf buffer: the chunked regimes below send slices of it across
 	// several synchronizations, and the engine only requires payload bytes
 	// to stay intact until the sync that delivers each message - this
 	// buffer is not touched again until the next exchange call.

@@ -221,9 +221,9 @@ func wordProgram(m *machine.Machine, ly layout, v Variant, a, b, out *linalg.Mat
 
 		// Superstep 3: route slab l of C_hat to <i,k,l>. The free sender
 		// coordinate for destination family <i,k,*> is j, so staggering
-		// rotates by j. All outgoing slabs encode into one leased arena
-		// buffer - sub-slices never move because the lease is pre-sized for
-		// all q encodings.
+		// rotates by j. All outgoing slabs encode into one payload
+		// buffer - sub-slices never move because the buffer is pre-sized
+		// for all q encodings.
 		cArena := ctx.PayloadBuf(q * ly.blkR * ly.blkC * m.WordBytes)[:0]
 		for r := 0; r < q; r++ {
 			l := r
@@ -287,7 +287,7 @@ func bpramProgram(m *machine.Machine, ly layout, a, b, out *linalg.Mat) bsplib.P
 		aFull.SetBlock(k*ly.blkR, 0, myA)
 		// A phase: round r sends A_ij^k to <i,j,(k+r)%q>; the incoming
 		// slab is A_ij^{(k-r)%q} from <i,j,(k-r)%q>. The slab is re-encoded
-		// each round (byte-identical every time): payload buffers are leased
+		// each round (byte-identical every time): payload buffers are valid
 		// until the next Sync, so one encoding cannot be carried across the
 		// round barrier.
 		for r := 1; r < q; r++ {
@@ -374,7 +374,7 @@ func (ws *workspace) init(ly layout) {
 	ws.backing = make([]float64, 3*slab+3*full)
 	d := ws.backing
 	carve := func(rows, cols int) linalg.Mat {
-		m := linalg.Mat{Rows: rows, Cols: cols, Data: d[:rows*cols:rows*cols]}
+		m := linalg.Mat{Rows: rows, Cols: cols, Data: d[: rows*cols : rows*cols]}
 		d = d[rows*cols:]
 		return m
 	}
@@ -388,7 +388,7 @@ func (ws *workspace) init(ly layout) {
 
 // encScratch is per-processor encode/decode scratch. Each processor
 // goroutine owns one instance, so the kernels encode every outgoing slab
-// into a payload buffer leased from the context and decode every incoming
+// into a payload buffer from ctx.PayloadBuf and decode every incoming
 // slab into one reused staging slice - the steady-state data path performs
 // no per-message allocation.
 type encScratch struct {
@@ -400,13 +400,13 @@ type encScratch struct {
 
 // encode converts float64 values to the machine's wire word (float32 on
 // 4-byte-word machines, float64 on 8-byte ones), writing into a buffer
-// leased from ctx (valid until the processor's next synchronization).
+// from ctx.PayloadBuf (valid until the processor's next synchronization).
 func (s *encScratch) encode(ctx *bsplib.Context, m *machine.Machine, xs []float64) []byte {
-	return s.appendEnc(m, ctx.PayloadBuf(m.WordBytes*len(xs))[:0], xs)
+	return s.appendEnc(m, ctx.PayloadBuf(m.WordBytes * len(xs))[:0], xs)
 }
 
 // appendEnc appends the wire encoding of xs to dst, allowing several slabs
-// to share one leased arena buffer.
+// to share one payload buffer.
 func (s *encScratch) appendEnc(m *machine.Machine, dst []byte, xs []float64) []byte {
 	if m.WordBytes == 8 {
 		return wire.AppendFloat64s(dst, xs)

@@ -195,11 +195,11 @@ func sortOne(ctx *bsplib.Context, cfg Config, sq int, keys []uint32) []uint32 {
 	return bucket
 }
 
-// sendU32 encodes xs into a payload buffer leased from ctx (recycled after
-// the next synchronization) and queues it - the zero-copy replacement for
+// sendU32 encodes xs into a payload buffer from ctx.PayloadBuf (reused
+// after the next synchronization) and queues it - the zero-copy replacement for
 // the old Send(wire.PutUint32s(...)) pattern.
 func sendU32(ctx *bsplib.Context, dst, tag int, xs []uint32) {
-	ctx.Send(dst, tag, wire.AppendUint32s(ctx.PayloadBuf(4*len(xs))[:0], xs))
+	ctx.Send(dst, tag, wire.AppendUint32s(ctx.PayloadBuf(4 * len(xs))[:0], xs))
 }
 
 // allGatherWord gathers one word from every processor using a row ring
@@ -213,7 +213,7 @@ func allGatherWord(ctx *bsplib.Context, sq int, word uint32) []uint32 {
 
 	// Row ring: after sq-1 steps every processor holds its row's words.
 	// carry is decode scratch: its contents are consumed (stored into row)
-	// and re-encoded into a fresh leased buffer before the next decode.
+	// and re-encoded into a fresh payload buffer before the next decode.
 	row := make([]uint32, sq)
 	row[pj] = word
 	carry := []uint32{word}

@@ -125,16 +125,14 @@ type engine struct {
 	outboxes  [][]outMsg
 	inboxes   [][]comm.Msg
 
-	// Delivery buffers. Every payload is copied into a pooled engine-owned
-	// buffer at delivery time; the buffers of step k are released back to
-	// the pool during the delivery of step k+1, when no receiver can still
-	// legitimately hold a view (Recv slices are valid only until the next
+	// Delivery arenas. Every payload is copied into an engine-owned arena at
+	// delivery time; step k fills arenas[k&1], so the views handed out at
+	// step k stay intact through step k+1, in which a receiver may still
+	// forward them (Recv views are valid until the receiver's next
 	// synchronization). Only the processor that routes a step touches the
-	// pool, and the ring fixes which one that is, so buffer identity is
+	// arenas, and the ring fixes which one that is, so buffer identity is
 	// deterministic.
-	pool          sim.BufferPool
-	delivered     [][]byte // buffers handed out in the current step's inboxes
-	prevDelivered [][]byte // previous step's buffers, released at next delivery
+	arenas [2][]byte
 
 	// Step-building scratch, reused across supersteps so that steady-state
 	// routing performs no per-step allocation.
@@ -200,7 +198,6 @@ func Run(m *machine.Machine, prog Program, opt Options) (*RunResult, error) {
 			// Seed the send-side scratch so typical first supersteps
 			// skip the append-doubling allocations.
 			outbox: make([]outMsg, 0, 16),
-			leased: make([][]byte, 0, 4),
 		}
 		go e.proc(&ctxs[p], prog)
 	}
@@ -618,7 +615,7 @@ func (e *engine) priceStreams() sim.Time {
 		for _, m := range e.outboxes[p] {
 			words := (len(m.payload) + w - 1) / w
 			runs[p] = append(runs[p], streamRun{dst: m.dst, start: pos, end: pos + words}) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
-			boundaries = append(boundaries, pos, pos+words)                               //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+			boundaries = append(boundaries, pos, pos+words)                                //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
 			pos += words
 		}
 		if pos > maxWords {
@@ -703,57 +700,42 @@ func (e *engine) priceStep(step *comm.Step, repeat int) sim.Time {
 // order (by source, then send order), replacing the previous step's
 // deliveries.
 //
-// Every payload is copied into an engine-owned pooled buffer, so receivers
+// Every payload is copied into this step's delivery arena, so receivers
 // never alias sender memory: a sender regains ownership of its buffer the
 // moment its synchronization returns, and mutating it cannot corrupt what
-// was delivered. The previous step's delivery buffers are released to the
-// pool only AFTER the copies - a program may forward a received slice
-// verbatim, so its bytes must stay intact until they have been copied out.
+// was delivered. The two arenas alternate by step, so the arena written now
+// is not the one holding the previous step's views - a program may forward
+// a received slice verbatim, and its bytes stay intact while they are
+// copied out.
 //
 //qpvet:hotpath
 func (e *engine) deliver() {
 	for p := 0; p < e.n; p++ {
 		e.inboxes[p] = e.inboxes[p][:0]
 	}
-	// All payloads of one delivery step share a single pooled arena buffer:
-	// each inbox entry is a sub-slice of it. One Get/Put per step instead of
-	// one per message keeps the pool traffic (and the cold-start allocation
-	// count of short runs) proportional to supersteps, not messages.
+	// Each inbox entry is a cap-capped sub-slice of the arena, so one
+	// backing per arena serves every message of every step.
 	total := 0
 	for src := 0; src < e.n; src++ {
 		for _, m := range e.outboxes[src] {
 			total += len(m.payload)
 		}
 	}
-	delivered := e.delivered[:0]
-	if total > 0 {
-		arena := e.pool.GetNoClear(total)
-		delivered = append(delivered, arena) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
-		off := 0
-		for src := 0; src < e.n; src++ {
-			for _, m := range e.outboxes[src] {
-				buf := arena[off : off+len(m.payload) : off+len(m.payload)]
-				off += len(m.payload)
-				copy(buf, m.payload)
-				//qpvet:ignore buflease -- delivery registry: arena sub-slice views are handed out via Recv and retired through prevDelivered next step
-				e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{ //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
-					Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
-				})
-			}
-			e.outboxes[src] = nil
-		}
-	} else {
-		for src := 0; src < e.n; src++ {
-			e.outboxes[src] = nil
-		}
+	arena := e.arenas[e.stepIdx&1]
+	if cap(arena) < total {
+		arena = make([]byte, max(2*cap(arena), total)) //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+		e.arenas[e.stepIdx&1] = arena
 	}
-	// Retire the previous step's arena; no Recv view of it is valid past
-	// the synchronization that just completed.
-	for i, b := range e.prevDelivered {
-		e.pool.Put(b)
-		e.prevDelivered[i] = nil
+	off := 0
+	for src := 0; src < e.n; src++ {
+		for _, m := range e.outboxes[src] {
+			buf := arena[off : off+len(m.payload) : off+len(m.payload)]
+			off += len(m.payload)
+			copy(buf, m.payload)
+			e.inboxes[m.dst] = append(e.inboxes[m.dst], comm.Msg{ //qpvet:ignore hotalloc -- amortized scratch growth, backing reused across supersteps
+				Src: src, Dst: m.dst, Tag: m.tag, Bytes: len(buf), Payload: buf,
+			})
+		}
+		e.outboxes[src] = nil
 	}
-	e.delivered = e.prevDelivered[:0]
-	//qpvet:ignore buflease -- the engine keeps the arena exactly one extra step so Recv views stay valid; it is retired above on the next delivery
-	e.prevDelivered = delivered
 }

@@ -20,14 +20,11 @@ type Context struct {
 	compute sim.Time
 	outbox  []outMsg
 
-	// pool recycles send-side payload buffers handed out by PayloadBuf;
-	// leased tracks the buffers currently on loan, released back to the
-	// pool after each synchronization (the engine copies every payload
-	// into its own delivery buffers during routing). The pool is private
-	// to this processor's goroutine, so buffer identity never depends on
-	// cross-goroutine scheduling.
-	pool   sim.BufferPool
-	leased [][]byte
+	// scratch backs this superstep's PayloadBuf buffers, each the next n
+	// bytes of it. step() rewinds it once the engine has copied every
+	// payload. Only this processor touches it, and only while it holds the
+	// turn, so buffer identity never depends on goroutine scheduling.
+	scratch []byte
 }
 
 // ID returns this processor's index in [0, P).
@@ -63,22 +60,26 @@ func (c *Context) ChargeOps(n int) {
 }
 
 // PayloadBuf returns an n-byte scratch buffer for building an outgoing
-// payload, drawn from this processor's private buffer pool. The buffer is
-// on loan until this processor's next Sync/Flush, after which it is
-// recycled; encode into it, Send it, and never retain it across the
+// payload, carved from this processor's superstep scratch. The buffer is
+// valid until this processor's next Sync/Flush, after which its bytes are
+// reused; encode into it, Send it, and never retain it across the
 // synchronization. Contents are uninitialized - callers are expected to
 // overwrite every byte (wire.Append* encoders into buf[:0] do).
 func (c *Context) PayloadBuf(n int) []byte {
-	b := c.pool.GetNoClear(n)
-	//qpvet:ignore buflease -- c.leased is the step's lease registry: step() returns every entry to the pool at the next Sync/Flush
-	c.leased = append(c.leased, b)
-	return b
+	off := len(c.scratch)
+	if off+n > cap(c.scratch) {
+		// Earlier payloads of this step keep the old backing alive.
+		c.scratch = make([]byte, 0, max(2*cap(c.scratch), n))
+		off = 0
+	}
+	c.scratch = c.scratch[:off+n]
+	return c.scratch[off : off+n : off+n]
 }
 
 // Send queues one block message to dst.
 //
 // Ownership: the payload must stay intact until this processor's next
-// Sync/Flush returns; the engine copies it into its own delivery buffers
+// Sync/Flush returns; the engine copies it into its delivery arena
 // during that synchronization, after which the caller owns the slice again
 // and may reuse or mutate it freely. Buffers from PayloadBuf satisfy this
 // automatically.
@@ -129,25 +130,21 @@ func (c *Context) step(barrier bool) {
 	comp := c.compute
 	c.compute = 0
 	c.e.sync(c.id, barrier, out, comp)
-	// The engine copied every payload into its own delivery buffers before
-	// sync returned, so the outbox backing and all leased payload buffers
-	// are this processor's again: clear the payload references and recycle
-	// both, making the steady-state send path allocation-free.
+	// The engine copied every payload into its delivery arena before sync
+	// returned, so the outbox backing and the payload scratch are this
+	// processor's again: clear the payload references and rewind both,
+	// making the steady-state send path allocation-free.
 	for i := range out {
 		out[i] = outMsg{}
 	}
 	c.outbox = out[:0]
-	for i, b := range c.leased {
-		c.pool.Put(b)
-		c.leased[i] = nil
-	}
-	c.leased = c.leased[:0]
+	c.scratch = c.scratch[:0]
 }
 
 // Recv returns the payloads of all messages with the given tag delivered at
 // the last Sync/Flush, ordered by source processor and send order.
 //
-// The payloads are views into engine-owned delivery buffers, valid only
+// The payloads are views into the engine-owned delivery arena, valid only
 // until this processor's next Sync/Flush; decode (copy) them before then
 // and never retain them across a synchronization.
 func (c *Context) Recv(tag int) [][]byte {
@@ -162,8 +159,8 @@ func (c *Context) Recv(tag int) [][]byte {
 
 // RecvFrom returns the payload of the first message with the given tag from
 // src delivered at the last Sync/Flush, or nil if there is none. The same
-// validity rule as Recv applies: the slice is an engine-owned delivery
-// buffer, dead after this processor's next Sync/Flush.
+// validity rule as Recv applies: the slice is a view into the engine-owned
+// delivery arena, dead after this processor's next Sync/Flush.
 func (c *Context) RecvFrom(src, tag int) []byte {
 	for _, m := range c.e.inboxes[c.id] {
 		if m.Src == src && m.Tag == tag {

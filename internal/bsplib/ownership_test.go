@@ -111,3 +111,73 @@ func TestForwardingReceivedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPayloadScratchRegrowAndArenaReuse drives both superstep arenas hard.
+// Processor 0 leases more PayloadBufs per superstep than the first scratch
+// backing holds, so the scratch regrows mid-step while earlier buffers of
+// the same step are still unsent; every buffer carries distinct bytes.
+// Processor 1 checks every delivered byte and forwards one received view
+// to processor 2 in the next superstep, while that step's deliveries are
+// written into the other delivery arena. Payloads grow every step, so a
+// delivery that reused the arena holding the forwarded view would
+// overwrite it before it is copied out.
+func TestPayloadScratchRegrowAndArenaReuse(t *testing.T) {
+	const steps, bufs = 4, 8
+	size := func(s, i int) int { return 16*(s+1) + 3*i }
+	fill := func(s, i, j int) byte { return byte(s*61 + i*17 + j) }
+	check := func(who string, s, i int, got []byte) {
+		if len(got) != size(s, i) {
+			t.Errorf("%s: step %d buffer %d has %d bytes, want %d", who, s, i, len(got), size(s, i))
+			return
+		}
+		for j, b := range got {
+			if b != fill(s, i, j) {
+				t.Errorf("%s: step %d buffer %d byte %d = %d, want %d", who, s, i, j, b, fill(s, i, j))
+				return
+			}
+		}
+	}
+	r := &fakeRouter{procs: 3, base: 1, msgCost: 1}
+	m := fakeMachine(3, false, r)
+	_, err := Run(m, func(ctx *Context) {
+		for s := 0; s < steps+2; s++ {
+			switch ctx.ID() {
+			case 0:
+				if s >= steps {
+					break
+				}
+				leases := make([][]byte, bufs)
+				for i := range leases {
+					b := ctx.PayloadBuf(size(s, i))
+					if cap(b) != len(b) {
+						t.Errorf("step %d buffer %d: cap %d, want cap-capped %d", s, i, cap(b), len(b))
+					}
+					for j := range b {
+						b[j] = fill(s, i, j)
+					}
+					leases[i] = b
+				}
+				for i, b := range leases {
+					check("sender", s, i, b)
+					ctx.Send(1, i, b)
+				}
+			case 1:
+				if s == 0 || s > steps {
+					break
+				}
+				for i := 0; i < bufs; i++ {
+					check("receiver", s-1, i, ctx.RecvFrom(0, i))
+				}
+				ctx.Send(2, 0, ctx.RecvFrom(0, bufs-1)) // forward the view itself
+			case 2:
+				if s >= 2 {
+					check("forwardee", s-2, bufs-1, ctx.RecvFrom(1, 0))
+				}
+			}
+			ctx.Sync()
+		}
+	}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,26 @@ func steadyStep(p, bytes int) *comm.Step {
 			if dst != src {
 				s.Sends[src] = append(s.Sends[src], comm.Msg{Src: src, Dst: dst, Bytes: bytes})
 			}
+		}
+	}
+	return s
+}
+
+// randomStep draws a step with 0-2 sends of 1-64 bytes per processor to
+// random other processors, random clock skews (processor 0 the earliest),
+// and a random barrier flag.
+func randomStep(r *sim.RNG, p int) *comm.Step {
+	s := &comm.Step{Sends: make([][]comm.Msg, p), Offsets: make([]sim.Time, p), Barrier: r.Intn(2) == 1}
+	for src := 0; src < p; src++ {
+		if src > 0 {
+			s.Offsets[src] = sim.Time(r.Intn(40))
+		}
+		for k := r.Intn(3); k > 0; k-- {
+			dst := r.Intn(p - 1)
+			if dst >= src {
+				dst++
+			}
+			s.Sends[src] = append(s.Sends[src], comm.Msg{Src: src, Dst: dst, Bytes: 1 + r.Intn(64)})
 		}
 	}
 	return s
@@ -148,6 +169,39 @@ func TestRouterConformance(t *testing.T) {
 				}
 				if res := cached.Route(n, sim.NewRNG(7)); res.Replayed {
 					t.Fatal("repeated NoMemo step replayed from the cache")
+				}
+
+				// Differential half: on random steps, both the filling
+				// simulation and the replay must equal the raw router's
+				// result from the same RNG state - elapsed time, the full
+				// finish vector, stats, and the stream's post-route state.
+				gen := sim.NewRNG(1996)
+				for i := 0; i < 20; i++ {
+					s := randomStep(gen, p)
+					seed := gen.Uint64()
+					rawRNG := sim.NewRNG(seed)
+					want := raw.Route(s, rawRNG)
+					want.Finish = append([]sim.Time(nil), want.Finish...)
+					wantRNG := rawRNG.State()
+					for _, replay := range []bool{false, true} {
+						rng := sim.NewRNG(seed)
+						got := cached.Route(s, rng)
+						if got.Replayed != replay {
+							t.Fatalf("random step %d (barrier %v): Replayed = %v, want %v", i, s.Barrier, got.Replayed, replay)
+						}
+						if got.Elapsed != want.Elapsed {
+							t.Fatalf("random step %d (replay %v): elapsed %g, raw router %g", i, replay, got.Elapsed, want.Elapsed)
+						}
+						if !slices.Equal(got.Finish, want.Finish) {
+							t.Fatalf("random step %d (replay %v): finish %v, raw router %v", i, replay, got.Finish, want.Finish)
+						}
+						if got.Stats != want.Stats {
+							t.Fatalf("random step %d (replay %v): stats %+v, raw router %+v", i, replay, got.Stats, want.Stats)
+						}
+						if rng.State() != wantRNG {
+							t.Fatalf("random step %d (replay %v): post-route RNG state differs from the raw router's", i, replay)
+						}
+					}
 				}
 			})
 		})
